@@ -21,13 +21,14 @@ func main() {
 	train.Scale *= in.Scale
 	hints := ldsprefetch.ProfileHints(bench, train)
 
-	lv := func(l prefetch.AggLevel) *prefetch.AggLevel { return &l }
-	configs := []ldsprefetch.Setup{
-		{Name: "fixed very-conservative", Stream: true, CDP: true, Hints: hints,
-			InitialLevel: lv(prefetch.VeryConservative)},
-		{Name: "fixed aggressive", Stream: true, CDP: true, Hints: hints},
-		{Name: "FDP (individual)", Stream: true, CDP: true, Hints: hints, FDP: true},
-		{Name: "coordinated throttling", Stream: true, CDP: true, Hints: hints, Throttle: true},
+	veryCons := ldsprefetch.NewSpec("fixed very-conservative", "stream", "cdp").WithHints(hints)
+	lv := prefetch.VeryConservative
+	veryCons.InitialLevel = &lv
+	configs := []ldsprefetch.Spec{
+		veryCons,
+		ldsprefetch.NewSpec("fixed aggressive", "stream", "cdp").WithHints(hints),
+		ldsprefetch.NewSpec("FDP (individual)", "stream", "cdp", "fdp").WithHints(hints),
+		ldsprefetch.NewSpec("coordinated throttling", "stream", "cdp", "throttle").WithHints(hints),
 	}
 
 	base, _ := ldsprefetch.Run(bench, in, ldsprefetch.Baseline())

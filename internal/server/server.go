@@ -16,6 +16,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -101,23 +102,20 @@ func New(opts Options) (*Server, error) {
 }
 
 // sweepRequest is the POST /api/v1/sweeps body. Exactly one of Experiment
-// or Benchmarks+{Configs|Specs|Setups} must be set.
+// or Benchmarks+{Configs|Specs} must be set.
 type sweepRequest struct {
 	// Experiment is a registered experiment id ("fig1", ..., "all").
 	Experiment string `json:"experiment,omitempty"`
-	// Benchmarks + Configs/Specs/Setups describe a raw sweep: every
-	// benchmark runs under every configuration. Configs are the named CLI
-	// configurations. Specs are declarative sim.Spec values; they are
-	// validated against the component registry at submit and rejected with
-	// the known-component catalog on error. Setups are legacy flag-bag
-	// sim.Setup values (kept for compatibility; validated through the same
-	// spec conversion). Hardware overrides are not statically validated —
+	// Benchmarks + Configs/Specs describe a raw sweep: every benchmark runs
+	// under every configuration. Configs are the named CLI configurations.
+	// Specs are declarative sim.Spec values; they are validated against the
+	// component registry at submit and rejected with the known-component
+	// catalog on error. Hardware overrides are not statically validated —
 	// a config that panics the simulator is contained and reported as a
 	// failed job.
-	Benchmarks []string    `json:"benchmarks,omitempty"`
-	Configs    []string    `json:"configs,omitempty"`
-	Specs      []sim.Spec  `json:"specs,omitempty"`
-	Setups     []sim.Setup `json:"setups,omitempty"`
+	Benchmarks []string   `json:"benchmarks,omitempty"`
+	Configs    []string   `json:"configs,omitempty"`
+	Specs      []sim.Spec `json:"specs,omitempty"`
 	// Scale/Seed are the workload input parameters (defaults 1.0 / 1).
 	Scale float64 `json:"scale,omitempty"`
 	Seed  int64   `json:"seed,omitempty"`
@@ -160,7 +158,7 @@ func (s *Server) validate(req *sweepRequest) error {
 		return fmt.Errorf("scale must be a positive number, got %v", req.Scale)
 	}
 	if req.Experiment != "" {
-		if len(req.Benchmarks) > 0 || len(req.Configs) > 0 || len(req.Specs) > 0 || len(req.Setups) > 0 {
+		if len(req.Benchmarks) > 0 || len(req.Configs) > 0 || len(req.Specs) > 0 {
 			return fmt.Errorf("submit either an experiment or a raw sweep, not both")
 		}
 		if _, err := exp.Plan(req.Experiment); err != nil {
@@ -176,33 +174,24 @@ func (s *Server) validate(req *sweepRequest) error {
 			return err
 		}
 	}
-	if len(req.Configs) == 0 && len(req.Specs) == 0 && len(req.Setups) == 0 {
-		return fmt.Errorf("raw sweep needs configs, specs, or setups")
+	if len(req.Configs) == 0 && len(req.Specs) == 0 {
+		return fmt.Errorf("raw sweep needs configs or specs")
 	}
 	for _, cfg := range req.Configs {
 		if _, err := sim.Named(cfg, nil); err != nil {
 			return err
 		}
 	}
-	// Specs and legacy Setups are validated against the component registry
-	// here, so an unknown component, a throttle+fdp conflict, hints without
-	// a consumer, or bad options come back as a 400 with an actionable
-	// message (the unknown-component error carries the full catalog) instead
-	// of a failed job.
-	for i, sp := range req.Specs {
-		if sp.Name == "" {
-			sp.Name = "spec" + strconv.Itoa(i)
+	// Specs are validated against the component registry here, so an
+	// unknown component, a throttle+fdp conflict, hints without a consumer,
+	// or bad options come back as a 400 with an actionable message (the
+	// unknown-component error carries the full catalog) instead of a failed
+	// job. Unnamed specs are labelled by position.
+	for i := range req.Specs {
+		if req.Specs[i].Name == "" {
+			req.Specs[i].Name = "spec" + strconv.Itoa(i)
 		}
-		if err := sp.Validate(); err != nil {
-			return err
-		}
-	}
-	for i, st := range req.Setups {
-		sp := st.Spec()
-		if sp.Name == "" {
-			sp.Name = "setup" + strconv.Itoa(i)
-		}
-		if err := sp.Validate(); err != nil {
+		if err := req.Specs[i].Validate(); err != nil {
 			return err
 		}
 	}
@@ -350,42 +339,22 @@ func (s *Server) runRaw(sw *sweep, params, train workload.Params) ([]exp.Report,
 		res           sim.Result
 		err           error
 	}
-	// Every configuration form — named config, declarative spec, legacy
-	// setup — narrows to one shape here: a labelled sim.Spec constructor.
-	// The scheduler and the cache key layer only ever see specs.
-	var specs []struct {
+	// Both configuration forms — named config and declarative spec —
+	// narrow to one shape here: a labelled sim.Spec constructor. The
+	// scheduler and the cache key layer only ever see specs.
+	type labelledSpec struct {
 		label string
 		mk    func(bench string) sim.Spec
 	}
+	var specs []labelledSpec
 	for _, cfg := range sw.req.Configs {
-		cfg := cfg
-		specs = append(specs, struct {
-			label string
-			mk    func(bench string) sim.Spec
-		}{cfg, func(bench string) sim.Spec {
+		specs = append(specs, labelledSpec{cfg, func(bench string) sim.Spec {
 			sp, _ := sim.Named(cfg, hints[bench]) // validated at submit
 			return sp
 		}})
 	}
-	for i := range sw.req.Specs {
-		sp := sw.req.Specs[i]
-		if sp.Name == "" {
-			sp.Name = "spec" + strconv.Itoa(i)
-		}
-		specs = append(specs, struct {
-			label string
-			mk    func(bench string) sim.Spec
-		}{sp.Name, func(string) sim.Spec { return sp }})
-	}
-	for i := range sw.req.Setups {
-		sp := sw.req.Setups[i].Spec()
-		if sp.Name == "" {
-			sp.Name = "setup" + strconv.Itoa(i)
-		}
-		specs = append(specs, struct {
-			label string
-			mk    func(bench string) sim.Spec
-		}{sp.Name, func(string) sim.Spec { return sp }})
+	for _, sp := range sw.req.Specs { // named at submit
+		specs = append(specs, labelledSpec{sp.Name, func(string) sim.Spec { return sp }})
 	}
 
 	cells := make([]cell, 0, len(sw.req.Benchmarks)*len(specs))
@@ -529,15 +498,22 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeRequest strictly decodes a sweep submission and validates it.
+// Unknown fields are errors, so a stale or misspelled field is a 400 rather
+// than a silently ignored part of the request.
+func (s *Server) decodeRequest(body io.Reader) (sweepRequest, error) {
 	var req sweepRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
+		return req, fmt.Errorf("decoding request: %w", err)
 	}
-	if err := s.validate(&req); err != nil {
+	return req, s.validate(&req)
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := s.decodeRequest(r.Body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

@@ -489,6 +489,9 @@ func (r *Reader) Verify() error {
 	return nil
 }
 
+// maxPreallocOps caps the op-slice capacity Load reserves from the header.
+const maxPreallocOps = 1 << 16
+
 // Load materializes a full trace from rd, verifying the digest and the
 // trace's structural invariants.
 func Load(rd io.Reader) (*trace.Trace, Header, error) {
@@ -500,7 +503,10 @@ func Load(rd io.Reader) (*trace.Trace, Header, error) {
 	if hdr.OpCount > 1<<33 {
 		return nil, hdr, fmt.Errorf("tracefile: op count %d implausible", hdr.OpCount)
 	}
-	ops := make([]trace.Op, 0, hdr.OpCount)
+	// The header's op count is not yet verified, so it only bounds the
+	// initial capacity: beyond maxPreallocOps the slice grows with the ops
+	// actually decoded, and a forged count cannot force a huge allocation.
+	ops := make([]trace.Op, 0, min(hdr.OpCount, maxPreallocOps))
 	for {
 		op, err := r.Next()
 		if err == io.EOF {

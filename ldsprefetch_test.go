@@ -38,7 +38,7 @@ func TestShapeECDPRepairsCDP(t *testing.T) {
 	// its useless traffic.
 	hints := ProfileHints("mst", trainInput())
 	cdp, _ := Run("mst", testInput(), OriginalCDP())
-	ecdp, _ := Run("mst", testInput(), Setup{Stream: true, CDP: true, Hints: hints})
+	ecdp, _ := Run("mst", testInput(), NewSpec("stream+ecdp", "stream", "cdp").WithHints(hints))
 	if ecdp.IPC <= cdp.IPC {
 		t.Fatalf("ECDP %.4f <= CDP %.4f on mst", ecdp.IPC, cdp.IPC)
 	}
@@ -78,7 +78,7 @@ func TestShapeStreamingUnaffected(t *testing.T) {
 
 func TestShapeStreamPrefetcherWorks(t *testing.T) {
 	// Paper Figure 1: the stream prefetcher strongly helps streaming code.
-	nopf, _ := Run("libquantum", testInput(), Setup{Name: "none"})
+	nopf, _ := Run("libquantum", testInput(), NewSpec("none"))
 	base, _ := Run("libquantum", testInput(), Baseline())
 	if base.IPC < nopf.IPC*1.5 {
 		t.Fatalf("stream gives only %.2fx on libquantum", base.IPC/nopf.IPC)
@@ -93,7 +93,9 @@ func TestShapeIdealLDSHeadroom(t *testing.T) {
 	// Pointer-intensive benchmarks must have large ideal-LDS headroom
 	// (the motivation of the whole paper).
 	base, _ := Run("health", testInput(), Baseline())
-	ideal, _ := Run("health", testInput(), Setup{Stream: true, IdealLDS: true})
+	oracle := NewSpec("ideal-lds", "stream")
+	oracle.IdealLDS = true
+	ideal, _ := Run("health", testInput(), oracle)
 	if ideal.IPC < base.IPC*1.5 {
 		t.Fatalf("ideal LDS headroom on health only %.2fx", ideal.IPC/base.IPC)
 	}
