@@ -1,6 +1,9 @@
 package cpu
 
 import (
+	"math/bits"
+	"sync"
+
 	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/trace"
 )
@@ -20,13 +23,21 @@ type Interval struct {
 	ms  *memsys.MemSys
 	tr  *trace.Trace
 
-	complete []int64 // completion time per op (producers are memory ops)
+	// complete is the completion time per op (producers are memory ops).
+	// It comes from completePool and goes back there once the run is Done.
+	// A recycled buffer holds a previous run's values, so step writes the
+	// entry of every op it passes, branches included, before any later op
+	// can read it.
+	complete []int64
 
 	// Ring buffers over recent non-branch ops, indexed by dense ordinal
 	// (branches are skipped); every indexed op carries ≥1 instruction, so
 	// any op within the instruction window is at most Window ordinals back.
+	// Their length is a power of two of at least Window+2, indexed with
+	// ringMask.
 	retireRing []int64 // retire time per op
 	cumRing    []int64 // cumulative instruction count through each op
+	ringMask   int
 
 	pos        int
 	dense      int   // non-branch ordinal of op pos (ring index space)
@@ -46,15 +57,30 @@ func NewInterval(cfg Config, ms *memsys.MemSys, tr *trace.Trace) *Interval {
 	if cfg.Width <= 0 {
 		cfg.Width = 4
 	}
-	ring := cfg.Window + 2
+	ring := 1 << bits.Len(uint(cfg.Window+1))
 	return &Interval{
 		cfg:        cfg,
 		ms:         ms,
 		tr:         tr,
-		complete:   make([]int64, len(tr.Ops)),
+		complete:   getComplete(len(tr.Ops)),
 		retireRing: make([]int64, ring),
 		cumRing:    make([]int64, ring),
+		ringMask:   ring - 1,
 	}
+}
+
+// completePool recycles the completion buffers of finished runs. The
+// buffer is 8 bytes per op, and a fresh one is first-touched op by op as
+// the run writes it; a recycled one is already resident.
+var completePool sync.Pool // of *[]int64
+
+// getComplete returns a completion buffer of length n, recycled if the
+// pool holds one large enough. Its contents are stale.
+func getComplete(n int) []int64 {
+	if b, ok := completePool.Get().(*[]int64); ok && cap(*b) >= n {
+		return (*b)[:n]
+	}
+	return make([]int64, n)
 }
 
 // Done reports whether the whole trace has been replayed.
@@ -84,14 +110,17 @@ func (c *Interval) step(n int, horizon int64) int {
 	ops := c.tr.Ops
 	width := int64(c.cfg.Width)
 	window := int64(c.cfg.Window)
-	ring := len(c.retireRing)
+	mask := c.ringMask
 	done := 0
 	for done < n && c.pos < len(ops) && c.lastIssue < horizon {
 		i := c.pos
 		op := &ops[i]
 		if op.Kind == trace.Branch {
 			// No control flow in this model: the branch is free and
-			// invisible (see the type comment).
+			// invisible (see the type comment). Its completion entry is
+			// still written, to the zero a fresh buffer holds, so that a
+			// recycled buffer never leaks a previous run's value.
+			c.complete[i] = 0
 			c.pos++
 			done++
 			continue
@@ -106,8 +135,8 @@ func (c *Interval) step(n int, horizon int64) int {
 			t = c.lastIssue
 		}
 		// Window occupancy: instructions after the window tail must fit.
-		for cum-c.cumRing[c.windowTail%ring] > window && c.windowTail < di {
-			if r := c.retireRing[c.windowTail%ring]; r > t {
+		for cum-c.cumRing[c.windowTail&mask] > window && c.windowTail < di {
+			if r := c.retireRing[c.windowTail&mask]; r > t {
 				t = r
 			}
 			c.windowTail++
@@ -159,13 +188,18 @@ func (c *Interval) step(n int, horizon int64) int {
 		c.retireSlot += instr
 		c.lastRetire = r
 
-		c.retireRing[di%ring] = r
-		c.cumRing[di%ring] = cum
+		c.retireRing[di&mask] = r
+		c.cumRing[di&mask] = cum
 		c.cumInstr = cum
 		c.dense++
 
 		c.pos++
 		done++
+	}
+	if c.pos >= len(ops) && c.complete != nil {
+		b := c.complete[:0]
+		completePool.Put(&b)
+		c.complete = nil
 	}
 	return done
 }

@@ -37,13 +37,32 @@ const (
 
 // Memory is a sparse, paged 32-bit byte-addressable memory. The zero value
 // is not ready to use; call New.
+//
+// Clones share pages copy-on-write. Freeze marks every page of a memory
+// shared; Clone freezes its source and hands out a memory whose pages are
+// the source's shared pages. Whichever memory first writes a shared page
+// copies it and writes the copy, so a write through the source or through
+// any clone is never visible through another. Cloning a frozen memory does
+// not write it, so any number of goroutines may clone one concurrently;
+// each clone, like any Memory, is then for one goroutine at a time.
 type Memory struct {
-	pages map[uint32][]byte
+	pages map[uint32]pageEntry
+	// frozen records that no entry is owned, so Clone need not freeze.
+	frozen bool
 	// Last-page cache: accesses cluster heavily within a page (pointer
 	// chases walk nodes far smaller than the 64 KiB page), so remembering
 	// the last resolved page skips the map lookup on the hot path.
-	lastPN   uint32
-	lastPage []byte
+	lastPN    uint32
+	lastPage  *[pageSize]byte
+	lastOwned bool
+}
+
+// pageEntry is one page of a Memory. A page that is not owned is shared
+// with the memory it was cloned from (or frozen in), and must be copied
+// before it is written.
+type pageEntry struct {
+	p     *[pageSize]byte
+	owned bool
 }
 
 // noPage is the lastPN sentinel. Page numbers only span addr>>pageShift
@@ -52,43 +71,77 @@ const noPage = ^uint32(0)
 
 // New returns an empty memory. Reads of unwritten locations return zero.
 func New() *Memory {
-	return &Memory{pages: make(map[uint32][]byte), lastPN: noPage}
+	return &Memory{pages: make(map[uint32]pageEntry), lastPN: noPage}
 }
 
-// Clone returns a deep copy of the memory image. Traces share one functional
-// build per workload (see workload.BuildShared); each simulated core replays
-// stores against its own clone.
+// Freeze marks every page of m shared, so that the next write to any page,
+// through m or through a clone of it, copies that page first. A frozen
+// memory can be cloned concurrently; workload.BuildShared freezes each
+// master image once, then hands every caller a clone.
+func (m *Memory) Freeze() {
+	if m.frozen {
+		return
+	}
+	//ldslint:ordered marks every entry shared; visiting order is unobservable
+	for pn, e := range m.pages {
+		if e.owned {
+			m.pages[pn] = pageEntry{p: e.p}
+		}
+	}
+	m.lastOwned = false
+	m.frozen = true
+}
+
+// Clone returns a copy-on-write copy of the memory image: the copy shares
+// every page with m and copies a page on its first write to it. Clone
+// freezes m first (see Freeze), which writes m unless it is already frozen;
+// concurrent clones need a memory frozen beforehand.
 func (m *Memory) Clone() *Memory {
-	c := &Memory{pages: make(map[uint32][]byte, len(m.pages)), lastPN: noPage}
-	//ldslint:ordered deep copy keyed by page number; insertion order is unobservable
-	for pn, p := range m.pages {
-		cp := make([]byte, pageSize)
-		copy(cp, p)
-		c.pages[pn] = cp
+	m.Freeze()
+	c := &Memory{pages: make(map[uint32]pageEntry, len(m.pages)), frozen: true, lastPN: noPage}
+	//ldslint:ordered copies shared entries keyed by page number; insertion order is unobservable
+	for pn, e := range m.pages {
+		c.pages[pn] = e
 	}
 	return c
 }
 
-func (m *Memory) page(addr uint32, create bool) []byte {
-	pn := addr >> pageShift
+// readPage returns page pn for reading, or nil if it was never written.
+func (m *Memory) readPage(pn uint32) *[pageSize]byte {
 	if pn == m.lastPN {
 		return m.lastPage
 	}
-	p := m.pages[pn]
-	if p == nil {
-		if !create {
-			return nil // don't cache misses: the page may be created later
-		}
-		p = make([]byte, pageSize)
-		m.pages[pn] = p
+	e, ok := m.pages[pn]
+	if !ok {
+		return nil // don't cache misses: the page may be created later
 	}
-	m.lastPN, m.lastPage = pn, p
-	return p
+	m.lastPN, m.lastPage, m.lastOwned = pn, e.p, e.owned
+	return e.p
+}
+
+// writePage returns page pn for writing: an owned page, created zeroed if
+// pn was never written and copied if pn is shared.
+func (m *Memory) writePage(pn uint32) *[pageSize]byte {
+	if pn == m.lastPN && m.lastOwned {
+		return m.lastPage
+	}
+	e := m.pages[pn]
+	if !e.owned {
+		p := new([pageSize]byte)
+		if e.p != nil {
+			*p = *e.p
+		}
+		e = pageEntry{p: p, owned: true}
+		m.pages[pn] = e
+		m.frozen = false
+	}
+	m.lastPN, m.lastPage, m.lastOwned = pn, e.p, true
+	return e.p
 }
 
 // Read8 returns the byte at addr (zero if the page was never written).
 func (m *Memory) Read8(addr uint32) byte {
-	p := m.page(addr, false)
+	p := m.readPage(addr >> pageShift)
 	if p == nil {
 		return 0
 	}
@@ -97,14 +150,14 @@ func (m *Memory) Read8(addr uint32) byte {
 
 // Write8 stores one byte at addr.
 func (m *Memory) Write8(addr uint32, v byte) {
-	m.page(addr, true)[addr&pageMask] = v
+	m.writePage(addr >> pageShift)[addr&pageMask] = v
 }
 
 // Read32 returns the little-endian 32-bit word at addr. The word may span a
 // page boundary.
 func (m *Memory) Read32(addr uint32) uint32 {
 	if addr&pageMask <= pageSize-4 {
-		p := m.page(addr, false)
+		p := m.readPage(addr >> pageShift)
 		if p == nil {
 			return 0
 		}
@@ -121,7 +174,7 @@ func (m *Memory) Read32(addr uint32) uint32 {
 // Write32 stores a little-endian 32-bit word at addr.
 func (m *Memory) Write32(addr, v uint32) {
 	if addr&pageMask <= pageSize-4 {
-		p := m.page(addr, true)
+		p := m.writePage(addr >> pageShift)
 		o := addr & pageMask
 		p[o] = byte(v)
 		p[o+1] = byte(v >> 8)
@@ -141,7 +194,7 @@ func (m *Memory) ReadBlock(addr uint32, dst []byte) {
 	addr &^= n - 1
 	// Fast path: block within one page (always true for power-of-two block
 	// sizes <= pageSize and aligned addresses).
-	p := m.page(addr, false)
+	p := m.readPage(addr >> pageShift)
 	if p == nil {
 		for i := range dst {
 			dst[i] = 0
@@ -167,9 +220,15 @@ func (m *Memory) Pages() []uint32 {
 }
 
 // PageBytes returns the contents of page pn, or nil if the page was never
-// written. The slice aliases the live page: callers must copy it if they
-// outlive the next write to this memory.
-func (m *Memory) PageBytes(pn uint32) []byte { return m.pages[pn] }
+// written. The slice aliases the live page, which may be shared with other
+// clones: callers must not write it, and must copy it if they outlive the
+// next write to this memory.
+func (m *Memory) PageBytes(pn uint32) []byte {
+	if e, ok := m.pages[pn]; ok {
+		return e.p[:]
+	}
+	return nil
+}
 
 // SetPageBytes installs data as the contents of page pn; shorter-than-page
 // data is zero-extended (unwritten tails read as zero, as always).
@@ -177,9 +236,10 @@ func (m *Memory) SetPageBytes(pn uint32, data []byte) {
 	if len(data) > pageSize {
 		panic(fmt.Sprintf("mem: %d bytes exceed the %d-byte page", len(data), pageSize))
 	}
-	p := make([]byte, pageSize)
-	copy(p, data)
-	m.pages[pn] = p
+	p := new([pageSize]byte)
+	copy(p[:], data)
+	m.pages[pn] = pageEntry{p: p, owned: true}
+	m.frozen = false
 	m.lastPN = noPage
 }
 

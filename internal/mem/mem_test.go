@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -219,5 +220,125 @@ func TestFootprint(t *testing.T) {
 	m.Write8(HeapBase+pageSize, 1)
 	if m.Footprint() != 2*pageSize {
 		t.Fatalf("footprint = %d, want %d", m.Footprint(), 2*pageSize)
+	}
+}
+
+// TestCloneCopyOnWrite pins the copy-on-write contract: a write through the
+// master, a clone, or a sibling clone is visible through none of the
+// others, whether it lands on a shared page, a page created after cloning,
+// or a page installed with SetPageBytes; Pages and Footprint describe each
+// memory's own image.
+func TestCloneCopyOnWrite(t *testing.T) {
+	m := New()
+	a0, a1 := HeapBase, HeapBase+pageSize
+	m.Write32(a0, 0x1000)
+	m.Write32(a1, 0x1001)
+	m.Freeze()
+	c1, c2 := m.Clone(), m.Clone()
+
+	// The last-page cache must not let a read of a shared page turn into
+	// an in-place write of it.
+	if got := c1.Read32(a0); got != 0x1000 {
+		t.Fatalf("clone reads %#x, want 0x1000", got)
+	}
+	c1.Write32(a0, 0x2000)
+	c2.Write32(a0+4, 0x3000)
+	m.Write32(a1, 0x4001)
+	c1.Write32(GlobalBase, 0x5000) // a page the master never had
+	c2.SetPageBytes(a1>>pageShift, []byte{0x66})
+
+	check := func(name string, mm *Memory, addr, want uint32) {
+		t.Helper()
+		if got := mm.Read32(addr); got != want {
+			t.Errorf("%s: Read32(%#x) = %#x, want %#x", name, addr, got, want)
+		}
+	}
+	check("master", m, a0, 0x1000)
+	check("master", m, a0+4, 0)
+	check("master", m, a1, 0x4001)
+	check("master", m, GlobalBase, 0)
+	check("clone 1", c1, a0, 0x2000)
+	check("clone 1", c1, a0+4, 0)
+	check("clone 1", c1, a1, 0x1001)
+	check("clone 1", c1, GlobalBase, 0x5000)
+	check("clone 2", c2, a0, 0x1000)
+	check("clone 2", c2, a0+4, 0x3000)
+	check("clone 2", c2, a1, 0x66)
+	check("clone 2", c2, GlobalBase, 0)
+
+	// A clone of a clone shares the first clone's current image, and the
+	// first clone stays writable afterwards without affecting it.
+	g := c1.Clone()
+	c1.Write32(a0, 0x7000)
+	check("grandchild", g, a0, 0x2000)
+	check("clone 1", c1, a0, 0x7000)
+
+	if got := m.Pages(); len(got) != 2 || got[0] != a0>>pageShift || got[1] != a1>>pageShift {
+		t.Errorf("master pages = %v", got)
+	}
+	if got := c1.Pages(); len(got) != 3 || got[0] != GlobalBase>>pageShift {
+		t.Errorf("clone 1 pages = %v, want the global page first of 3", got)
+	}
+	if m.Footprint() != 2*pageSize || c1.Footprint() != 3*pageSize || c2.Footprint() != 2*pageSize {
+		t.Errorf("footprints master %d clone1 %d clone2 %d", m.Footprint(), c1.Footprint(), c2.Footprint())
+	}
+	if p := c2.PageBytes(a1 >> pageShift); len(p) != pageSize || p[0] != 0x66 || p[1] != 0 {
+		t.Errorf("clone 2 PageBytes of the installed page = % x...", p[:4])
+	}
+	if p := m.PageBytes(a1 >> pageShift); p[0] != 0x01 || p[1] != 0x40 {
+		t.Errorf("master PageBytes after clones wrote = % x...", p[:4])
+	}
+}
+
+// TestConcurrentClonesOfFrozen exercises the concurrency half of the
+// contract under -race: goroutines clone one frozen memory and write their
+// clones' shared pages at once.
+func TestConcurrentClonesOfFrozen(t *testing.T) {
+	m := New()
+	for i := uint32(0); i < 8; i++ {
+		m.Write32(HeapBase+i*pageSize, i)
+	}
+	m.Freeze()
+	var wg sync.WaitGroup
+	for w := uint32(1); w <= 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := m.Clone()
+			for i := uint32(0); i < 8; i++ {
+				addr := HeapBase + i*pageSize
+				if got := c.Read32(addr); got != i {
+					t.Errorf("clone %d: page %d reads %#x", w, i, got)
+				}
+				c.Write32(addr, w<<8|i)
+				if got := c.Read32(addr); got != w<<8|i {
+					t.Errorf("clone %d: page %d reads back %#x", w, i, got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := uint32(0); i < 8; i++ {
+		if got := m.Read32(HeapBase + i*pageSize); got != i {
+			t.Fatalf("master page %d = %#x after clones wrote", i, got)
+		}
+	}
+}
+
+// BenchmarkClone times cloning a frozen 64-page (4 MiB) image, then writing
+// one word in each of 8 pages, the pattern a replay with a few hot store
+// pages follows.
+func BenchmarkClone(b *testing.B) {
+	m := New()
+	for i := uint32(0); i < 64; i++ {
+		m.Write32(HeapBase+i*pageSize, i)
+	}
+	m.Freeze()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := m.Clone()
+		for k := uint32(0); k < 8; k++ {
+			c.Write32(HeapBase+k*pageSize, k)
+		}
 	}
 }

@@ -98,22 +98,39 @@ type Trace struct {
 	Mem  *mem.Memory
 }
 
-// Clone returns a copy of the trace that shares the immutable op sequence but
-// owns a private memory image. Timing replay mutates Mem (the traced stores
+// Clone returns a copy of the trace that shares the immutable op sequence and
+// the pages of the memory image. Timing replay mutates Mem (the traced stores
 // are re-applied in program order) while never writing Ops, so repeated or
-// concurrent replays of one functional build each take a clone; see
-// workload.BuildShared.
+// concurrent replays of one functional build each take a clone: the clone's
+// first write to a page copies that page (mem.Memory.Clone), leaving t and
+// every other clone untouched. See workload.BuildShared.
 func (t *Trace) Clone() *Trace {
 	return &Trace{Name: t.Name, Ops: t.Ops, Mem: t.Mem.Clone()}
 }
+
+// Chunk sizes of the Builder's op buffer. The first chunk holds
+// minChunkOps ops and each later one doubles, up to maxChunkOps, so small
+// test traces stay small while large builds append into 1.25 MiB chunks.
+const (
+	minChunkOps = 1 << 10
+	maxChunkOps = 1 << 16
+)
 
 // Builder incrementally constructs a Trace. Workload generators use it both
 // to emit ops and to perform the loads/stores functionally against the
 // simulated memory, so that the emitted address stream and the memory image
 // stay consistent by construction.
+//
+// Ops are emitted into fixed-size chunks that are never regrown, and Trace
+// assembles them into one exact-length slice. A single growing slice would
+// reallocate and copy the whole trace each time it fills, allocating several
+// times the final trace for large builds.
 type Builder struct {
 	t       *Trace
 	padding int // compute ops inserted after every memory op
+	chunks  [][]Op
+	cur     []Op // the chunk being filled; len(cur) < cap(cur) or cur is nil
+	full    int  // ops in chunks
 	undo    []undoRec
 	done    bool
 }
@@ -136,10 +153,26 @@ func NewBuilder(name string, m *mem.Memory, computePad int) *Builder {
 }
 
 // Len returns the number of ops emitted so far.
-func (b *Builder) Len() int { return len(b.t.Ops) }
+func (b *Builder) Len() int { return b.full + len(b.cur) }
 
 // Mem returns the underlying simulated memory.
 func (b *Builder) Mem() *mem.Memory { return b.t.Mem }
+
+// emit appends op and returns its index.
+func (b *Builder) emit(op Op) int32 {
+	if len(b.cur) == cap(b.cur) {
+		n := minChunkOps
+		if b.cur != nil {
+			b.chunks = append(b.chunks, b.cur)
+			b.full += len(b.cur)
+			n = min(2*cap(b.cur), maxChunkOps)
+		}
+		b.cur = make([]Op, 0, n)
+	}
+	idx := int32(b.full + len(b.cur))
+	b.cur = append(b.cur, op)
+	return idx
+}
 
 func (b *Builder) pad() {
 	b.Compute(b.padding)
@@ -153,7 +186,7 @@ func (b *Builder) Compute(n int) {
 		if k > MaxBatch {
 			k = MaxBatch
 		}
-		b.t.Ops = append(b.t.Ops, Op{Kind: Compute, Dep: NoDep, N: uint8(k)})
+		b.emit(Op{Kind: Compute, Dep: NoDep, N: uint8(k)})
 		n -= k
 	}
 }
@@ -162,8 +195,7 @@ func (b *Builder) Compute(n int) {
 // memory, and returns (value, opIndex). dep is the index of the op producing
 // the address (NoDep if none); lds tags the load as a pointer-chase access.
 func (b *Builder) Load(pc, addr uint32, dep int32, lds bool) (uint32, int32) {
-	idx := int32(len(b.t.Ops))
-	b.t.Ops = append(b.t.Ops, Op{Kind: Load, Addr: addr, Dep: dep, PC: pc, LDS: lds})
+	idx := b.emit(Op{Kind: Load, Addr: addr, Dep: dep, PC: pc, LDS: lds})
 	b.pad()
 	return b.t.Mem.Read32(addr), idx
 }
@@ -177,8 +209,7 @@ func (b *Builder) Load(pc, addr uint32, dep int32, lds bool) (uint32, int32) {
 // pointers as of the scan time, not the end of the run (e.g. bisort's
 // subtree swaps rewrite child pointers mid-run).
 func (b *Builder) Store(pc, addr, val uint32, dep int32) int32 {
-	idx := int32(len(b.t.Ops))
-	b.t.Ops = append(b.t.Ops, Op{Kind: Store, Addr: addr, Val: val, Dep: dep, PC: pc})
+	idx := b.emit(Op{Kind: Store, Addr: addr, Val: val, Dep: dep, PC: pc})
 	b.undo = append(b.undo, undoRec{addr, b.t.Mem.Read32(addr)})
 	b.t.Mem.Write32(addr, val)
 	b.pad()
@@ -192,16 +223,23 @@ func (b *Builder) Store(pc, addr, val uint32, dep int32) int32 {
 // compute padding: they are part of the instruction mix the padding already
 // models, not an addition to it.
 func (b *Builder) Branch(pc, target uint32, taken bool, dep int32) int32 {
-	idx := int32(len(b.t.Ops))
-	b.t.Ops = append(b.t.Ops, Op{Kind: Branch, Addr: target, Dep: dep, PC: pc, Taken: taken})
-	return idx
+	return b.emit(Op{Kind: Branch, Addr: target, Dep: dep, PC: pc, Taken: taken})
 }
 
-// Trace finalizes the trace: the memory image is rewound to its pre-run
-// state (see Store) and the trace is returned. Further builder use after
-// Trace is a programming error.
+// Trace finalizes the trace: the emitted ops are assembled into one
+// exact-length slice, the memory image is rewound to its pre-run state (see
+// Store), and the trace is returned. Later calls return the same trace;
+// emitting ops after Trace is a programming error.
 func (b *Builder) Trace() *Trace {
 	if !b.done {
+		ops := make([]Op, b.Len())
+		n := 0
+		for _, c := range b.chunks {
+			n += copy(ops[n:], c)
+		}
+		copy(ops[n:], b.cur)
+		b.t.Ops = ops
+		b.chunks, b.cur, b.full = nil, nil, len(ops)
 		for i := len(b.undo) - 1; i >= 0; i-- {
 			b.t.Mem.Write32(b.undo[i].addr, b.undo[i].old)
 		}

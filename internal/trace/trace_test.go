@@ -119,3 +119,64 @@ func TestKindString(t *testing.T) {
 		t.Fatalf("unknown kind = %q", Kind(9).String())
 	}
 }
+
+// TestBuilderChunkBoundaries pins chunked emission: across many chunk
+// boundaries, every returned op index and every Len equals what a single
+// appended slice would give, the assembled ops equal the emitted ones in
+// order, and the assembled slice has no spare capacity.
+func TestBuilderChunkBoundaries(t *testing.T) {
+	m := mem.New()
+	b := NewBuilder("chunks", m, 2)
+	var want []Op
+	pad := func() { want = append(want, Op{Kind: Compute, Dep: NoDep, N: 2}) }
+	const n = 3*maxChunkOps + 12345
+	for b.Len() < n {
+		i := len(want)
+		addr := mem.HeapBase + uint32(i%4096)*4
+		switch i % 3 {
+		case 0:
+			_, idx := b.Load(0x100, addr, NoDep, i%2 == 0)
+			want = append(want, Op{Kind: Load, Addr: addr, Dep: NoDep, PC: 0x100, LDS: i%2 == 0})
+			pad()
+			if idx != int32(i) {
+				t.Fatalf("Load index %d, want %d", idx, i)
+			}
+		case 1:
+			idx := b.Store(0x104, addr, uint32(i), int32(i-1))
+			want = append(want, Op{Kind: Store, Addr: addr, Val: uint32(i), Dep: int32(i - 1), PC: 0x104})
+			pad()
+			if idx != int32(i) {
+				t.Fatalf("Store index %d, want %d", idx, i)
+			}
+		default:
+			idx := b.Branch(0x108, 0x100, i%4 == 0, NoDep)
+			want = append(want, Op{Kind: Branch, Addr: 0x100, Dep: NoDep, PC: 0x108, Taken: i%4 == 0})
+			if idx != int32(i) {
+				t.Fatalf("Branch index %d, want %d", idx, i)
+			}
+			b.Compute(MaxBatch + 5)
+			want = append(want, Op{Kind: Compute, Dep: NoDep, N: MaxBatch}, Op{Kind: Compute, Dep: NoDep, N: 5})
+		}
+		if b.Len() != len(want) {
+			t.Fatalf("Len = %d after %d ops", b.Len(), len(want))
+		}
+	}
+	tr := b.Trace()
+	if len(tr.Ops) != len(want) || cap(tr.Ops) != len(tr.Ops) {
+		t.Fatalf("len %d cap %d, want both %d", len(tr.Ops), cap(tr.Ops), len(want))
+	}
+	for i := range want {
+		if tr.Ops[i] != want[i] {
+			t.Fatalf("op %d = %+v, want %+v", i, tr.Ops[i], want[i])
+		}
+	}
+	if b.Len() != len(want) || b.Trace() != tr {
+		t.Fatalf("after Trace: Len %d, want %d; Trace must return the same trace", b.Len(), len(want))
+	}
+	// The stores were rewound: the image is the pre-run (all-zero) one.
+	for i := uint32(0); i < 4096; i++ {
+		if v := m.Read32(mem.HeapBase + i*4); v != 0 {
+			t.Fatalf("word %d = %#x after Trace, want the pre-run 0", i, v)
+		}
+	}
+}

@@ -437,7 +437,18 @@ func (r *Reader) Next() (trace.Op, error) {
 	return op, nil
 }
 
-// ReadMem decodes the memory image. All ops must have been consumed first.
+// maxPageNumber is the largest page number a 32-bit address can reach.
+const maxPageNumber = 1<<32/mem.PageSize - 1
+
+// ReadMem decodes the memory image and verifies the capture's digest. All
+// ops must have been consumed first.
+//
+// Page records must carry strictly ascending page numbers in
+// 0..maxPageNumber, as the writer emits them. A record may be as short as
+// three bytes while its page takes mem.PageSize, so the records are first
+// read into one buffer, which grows only with the bytes consumed, and the
+// pages are materialized only after the digest over the whole body matches
+// the header's.
 func (r *Reader) ReadMem() (*mem.Memory, error) {
 	if r.read < r.hdr.OpCount {
 		return nil, fmt.Errorf("tracefile: ReadMem with %d of %d ops unread", r.hdr.OpCount-r.read, r.hdr.OpCount)
@@ -446,12 +457,26 @@ func (r *Reader) ReadMem() (*mem.Memory, error) {
 		return nil, fmt.Errorf("tracefile: ReadMem called twice")
 	}
 	r.memDone = true
-	m := mem.New()
+	type pageRec struct {
+		pn     uint32
+		off, n int // the record's bytes in data
+	}
+	var (
+		recs []pageRec
+		data []byte
+	)
 	buf := make([]byte, mem.PageSize)
 	for i := uint32(0); i < r.hdr.PageCount; i++ {
 		pn, err := binary.ReadUvarint(r.hr)
 		if err != nil {
 			return nil, fmt.Errorf("tracefile: page %d: %w", i, err)
+		}
+		if pn > maxPageNumber {
+			return nil, fmt.Errorf("tracefile: page %d: page number %#x outside 0..%#x", i, pn, maxPageNumber)
+		}
+		if len(recs) > 0 && uint32(pn) <= recs[len(recs)-1].pn {
+			return nil, fmt.Errorf("tracefile: page %d: page number %#x not above the previous %#x (records must be strictly ascending)",
+				i, pn, recs[len(recs)-1].pn)
 		}
 		n, err := binary.ReadUvarint(r.hr)
 		if err != nil || n == 0 || n > uint64(mem.PageSize) {
@@ -460,9 +485,27 @@ func (r *Reader) ReadMem() (*mem.Memory, error) {
 		if _, err := io.ReadFull(r.hr, buf[:n]); err != nil {
 			return nil, fmt.Errorf("tracefile: page %d bytes: %w", i, err)
 		}
-		m.SetPageBytes(uint32(pn), buf[:n])
+		recs = append(recs, pageRec{uint32(pn), len(data), int(n)})
+		data = append(data, buf[:n]...)
+	}
+	if err := r.checkDigest(); err != nil {
+		return nil, err
+	}
+	m := mem.New()
+	for _, rec := range recs {
+		m.SetPageBytes(rec.pn, data[rec.off:rec.off+rec.n])
 	}
 	return m, nil
+}
+
+// checkDigest compares the digest of everything consumed so far with the
+// header's.
+func (r *Reader) checkDigest() error {
+	if got := r.hr.sum(); got != r.hdr.Digest {
+		return fmt.Errorf("tracefile: digest mismatch: header %s, content %s (capture corrupt or tampered)",
+			HexDigest(r.hdr.Digest), HexDigest(got))
+	}
+	return nil
 }
 
 // Verify consumes whatever remains of the capture (ops, then the memory
@@ -479,9 +522,8 @@ func (r *Reader) Verify() error {
 			return err
 		}
 	}
-	if got := r.hr.sum(); got != r.hdr.Digest {
-		return fmt.Errorf("tracefile: digest mismatch: header %s, content %s (capture corrupt or tampered)",
-			HexDigest(r.hdr.Digest), HexDigest(got))
+	if err := r.checkDigest(); err != nil {
+		return err
 	}
 	if _, err := r.hr.br.ReadByte(); err != io.EOF {
 		return fmt.Errorf("tracefile: trailing bytes after capture body")

@@ -22,7 +22,9 @@ func TraceBenchName(digest [32]byte) string {
 // it as a server-class workload, and returns the registered benchmark name.
 // The capture's Build ignores Params: the ops are fixed; only the memory
 // image is cloned per build so timing replays cannot corrupt the canonical
-// image. Loading the same capture twice is idempotent.
+// image. The image is frozen here, so builds of one capture at different
+// Params may clone it concurrently. Loading the same capture twice is
+// idempotent.
 func FromTraceFile(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -33,6 +35,7 @@ func FromTraceFile(path string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	tr.Mem.Freeze()
 	name := TraceBenchName(hdr.Digest)
 	err = Register(Generator{
 		Name:   name,

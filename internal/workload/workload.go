@@ -238,9 +238,11 @@ const buildCacheCap = 64
 // name at input p, memoizing the build itself. Constructing a trace is the
 // dominant setup cost of a simulation, and experiment grids replay the same
 // {benchmark, input} pair under many prefetcher configurations; the cache
-// builds the master at most once per {name, Scale, Seed} and never replays
-// it, handing out clones that share the immutable op sequence and deep-copy
-// only the memory image. Safe for concurrent use.
+// builds the master at most once per {name, Scale, Seed}, freezes its memory
+// image (mem.Memory.Freeze) and never replays it. Each call returns a clone
+// that shares the immutable op sequence and, copy-on-write, the pages of
+// the memory image: a replay copies only the pages its stores touch. Safe
+// for concurrent use.
 func BuildShared(name string, p Params) (*trace.Trace, error) {
 	g, err := Get(name)
 	if err != nil {
@@ -259,7 +261,10 @@ func BuildShared(name string, p Params) (*trace.Trace, error) {
 		buildOrder = append(buildOrder, key)
 	}
 	buildMu.Unlock()
-	e.once.Do(func() { e.tr = g.Build(p) })
+	e.once.Do(func() {
+		e.tr = g.Build(p)
+		e.tr.Mem.Freeze()
+	})
 	return e.tr.Clone(), nil
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 
 	"ldsprefetch/internal/trace"
@@ -198,5 +199,68 @@ func TestPointerFieldsAreHeapAddresses(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no LDS loads checked")
+	}
+}
+
+// TestBuildSharedConcurrentReplays runs what concurrent simulations of one
+// build do, under -race in CI: goroutines take BuildShared clones and replay
+// every traced store into them while others read. Each clone must end with
+// the image the replay wrote, and a later clone must still see the pre-run
+// image.
+func TestBuildSharedConcurrentReplays(t *testing.T) {
+	const bench = "bisort" // rewrites child pointers mid-run
+	fresh, err := BuildShared(bench, Test())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stores []trace.Op
+	for _, op := range fresh.Ops {
+		if op.Kind == trace.Store {
+			stores = append(stores, op)
+		}
+	}
+	if len(stores) == 0 {
+		t.Fatalf("%s has no stores", bench)
+	}
+	pre := make([]uint32, len(stores))
+	for i, op := range stores {
+		pre[i] = fresh.Mem.Read32(op.Addr)
+	}
+	// The image a full replay leaves behind: the last store to each address.
+	final := map[uint32]uint32{}
+	for _, op := range stores {
+		final[op.Addr] = op.Val
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := BuildShared(bench, Test())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, op := range stores {
+				tr.Mem.Write32(op.Addr, op.Val)
+			}
+			for _, op := range stores {
+				if got := tr.Mem.Read32(op.Addr); got != final[op.Addr] {
+					t.Errorf("replayed clone reads %#x at %#x, want %#x", got, op.Addr, final[op.Addr])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	after, err := BuildShared(bench, Test())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range stores {
+		if got := after.Mem.Read32(op.Addr); got != pre[i] {
+			t.Fatalf("clone after replays reads %#x at %#x, want the pre-run %#x", got, op.Addr, pre[i])
+		}
 	}
 }
