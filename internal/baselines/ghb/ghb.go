@@ -69,6 +69,9 @@ func (p *Prefetcher) SetLevel(l prefetch.AggLevel) { p.level = l.Clamp() }
 // OnFill implements memsys.Prefetcher (GHB ignores block contents).
 func (p *Prefetcher) OnFill(memsys.FillEvent) {}
 
+// IgnoresFillData implements memsys.FillDataIgnorer.
+func (p *Prefetcher) IgnoresFillData() {}
+
 func key(d0, d1 int32) uint64 { return uint64(uint32(d0))<<32 | uint64(uint32(d1)) }
 
 // OnAccess trains on the L2 demand miss stream and issues delta-correlated

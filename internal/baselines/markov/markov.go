@@ -70,6 +70,9 @@ func (p *Prefetcher) SetLevel(l prefetch.AggLevel) { p.level = l.Clamp() }
 // OnFill implements memsys.Prefetcher (Markov ignores block contents).
 func (p *Prefetcher) OnFill(memsys.FillEvent) {}
 
+// IgnoresFillData implements memsys.FillDataIgnorer.
+func (p *Prefetcher) IgnoresFillData() {}
+
 func (p *Prefetcher) slot(key uint32) *entry {
 	if i, ok := p.index[key]; ok {
 		return &p.entries[i]

@@ -239,6 +239,41 @@ func TestDemandFillEventCarriesTriggerAndData(t *testing.T) {
 	}
 }
 
+// blindRecorder records fills but declares that it never reads their data.
+type blindRecorder struct{ fillRecorder }
+
+func (*blindRecorder) IgnoresFillData() {}
+
+func TestDemandFillDataOnlyForReaders(t *testing.T) {
+	blind := &blindRecorder{}
+	ms := newMS(t, nil)
+	ms.Attach(blind)
+	ms.Mem().Write32(0x1000_0040, 0xfeedface)
+	ms.Access(0x1000_0044, 77, true, false, 0)
+	if len(blind.fills) != 1 || blind.fills[0].Data != nil {
+		t.Fatalf("fills = %+v, want one demand fill without data", blind.fills)
+	}
+	// CDP prefetch fills always carry their block.
+	ms.Issue(prefetch.Request{When: 0, Addr: 0x1000_0040 + 1<<16, Src: prefetch.SrcCDP})
+	if len(blind.fills) != 2 || len(blind.fills[1].Data) != 64 {
+		t.Fatalf("CDP fill = %+v, want its block's data", blind.fills[1:])
+	}
+
+	// One reader among the attached prefetchers makes every demand fill
+	// carry its block, whatever the attach order.
+	blind, rec := &blindRecorder{}, &fillRecorder{}
+	ms = newMS(t, nil)
+	ms.Attach(blind)
+	ms.Attach(rec)
+	ms.Mem().Write32(0x1000_0040, 0xfeedface)
+	ms.Access(0x1000_0044, 77, true, false, 0)
+	for _, f := range [][]FillEvent{blind.fills, rec.fills} {
+		if len(f) != 1 || len(f[0].Data) != 64 || f[0].Data[0] != 0xce {
+			t.Fatalf("fills = %+v, want one demand fill with data", f)
+		}
+	}
+}
+
 func TestCDPFillEventOnPrefetch(t *testing.T) {
 	ms := newMS(t, nil)
 	rec := &fillRecorder{}

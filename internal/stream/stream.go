@@ -76,6 +76,9 @@ func (p *Prefetcher) SetEnabled(on bool) { p.Enabled = on }
 // OnFill implements memsys.Prefetcher (stream prefetching ignores contents).
 func (p *Prefetcher) OnFill(memsys.FillEvent) {}
 
+// IgnoresFillData implements memsys.FillDataIgnorer.
+func (p *Prefetcher) IgnoresFillData() {}
+
 // OnAccess trains the stream table. Demand L2 misses allocate and train
 // streams; demand accesses inside a monitored region advance it.
 func (p *Prefetcher) OnAccess(ev memsys.AccessEvent) {
@@ -84,20 +87,45 @@ func (p *Prefetcher) OnAccess(ev memsys.AccessEvent) {
 	}
 	blk := ev.Addr >> p.blockShift
 
-	// 1. Advance a monitoring stream that covers this block.
-	if e := p.match(blk, monitoring); e != nil {
-		p.touch(e)
-		if delta(blk, e.lastDemand)*e.dir > 0 {
-			e.lastDemand = blk
+	// One pass over the table finds the first entry covering blk in each
+	// state; no entry changes state during the pass, so this is the same
+	// as scanning once per state in priority order.
+	var train, alloc *entry
+	for i := range p.entries {
+		e := &p.entries[i]
+		// A monitored region follows the demand stream; a training or
+		// allocated one stays at the allocating miss.
+		ref := e.firstBlk
+		if e.state == monitoring {
+			ref = e.lastDemand
 		}
-		p.request(e, ev.Now)
-		return
+		if !covers(blk, ref) {
+			continue
+		}
+		switch e.state {
+		case monitoring:
+			// Advance a monitoring stream that covers this block.
+			p.touch(e)
+			if delta(blk, e.lastDemand)*e.dir > 0 {
+				e.lastDemand = blk
+			}
+			p.request(e, ev.Now)
+			return
+		case training:
+			if train == nil {
+				train = e
+			}
+		case allocated:
+			if alloc == nil {
+				alloc = e
+			}
+		}
 	}
 	// Training and allocation act on misses only.
 	if !ev.Miss() {
 		return
 	}
-	if e := p.match(blk, training); e != nil {
+	if e := train; e != nil {
 		p.touch(e)
 		d := delta(blk, e.firstBlk)
 		if d == 0 {
@@ -118,7 +146,7 @@ func (p *Prefetcher) OnAccess(ev memsys.AccessEvent) {
 		}
 		return
 	}
-	if e := p.match(blk, allocated); e != nil {
+	if e := alloc; e != nil {
 		p.touch(e)
 		d := delta(blk, e.firstBlk)
 		if d == 0 {
@@ -148,29 +176,12 @@ func (p *Prefetcher) OnAccess(ev memsys.AccessEvent) {
 	p.touch(victim)
 }
 
-// match finds an entry in the given state whose tracked region covers blk.
-func (p *Prefetcher) match(blk uint32, st state) *entry {
-	for i := range p.entries {
-		e := &p.entries[i]
-		if e.state != st {
-			continue
-		}
-		var ref uint32
-		switch st {
-		case monitoring:
-			ref = e.lastDemand
-		default:
-			ref = e.firstBlk
-		}
-		d := delta(blk, ref)
-		if d < 0 {
-			d = -d
-		}
-		if d <= trainWindow {
-			return e
-		}
-	}
-	return nil
+// covers reports whether blk lies within trainWindow blocks of ref, either
+// side, in one unsigned compare. Block numbers are addresses shifted right
+// by at least one bit, so their distance is below 2^31 and the wrapped
+// difference is exact.
+func covers(blk, ref uint32) bool {
+	return blk-ref+trainWindow <= 2*trainWindow
 }
 
 func (p *Prefetcher) touch(e *entry) {
