@@ -115,8 +115,8 @@ func assemble(bench string, p workload.Params, sp Spec, ctrl *dram.Controller, c
 		// (wrong for custom DRAM configs). An explicit MemCfg.Cores wins.
 		mcfg.Cores = cores
 	}
-	if mcfg.BlockSize <= 0 || mcfg.BlockSize&(mcfg.BlockSize-1) != 0 {
-		return nil, fmt.Errorf("sim: block size %d is not a positive power of two", mcfg.BlockSize)
+	if mcfg.BlockSize < 2 || mcfg.BlockSize&(mcfg.BlockSize-1) != 0 {
+		return nil, fmt.Errorf("sim: block size %d is not a power of two of at least 2", mcfg.BlockSize)
 	}
 	tr, err := workload.BuildShared(bench, p)
 	if err != nil {

@@ -191,3 +191,15 @@ func TestContentionSlowsSharedCores(t *testing.T) {
 		t.Fatalf("no contention visible: WS = %v", r.WeightedSpeedup)
 	}
 }
+
+func TestBadBlockSizeRejected(t *testing.T) {
+	for _, bs := range []int{0, 1, 48} {
+		mc := memsys.DefaultConfig()
+		mc.BlockSize = bs
+		sp := baseline()
+		sp.MemCfg = &mc
+		if _, err := RunSingleSpec("mst", testParams(), sp); err == nil {
+			t.Errorf("block size %d accepted", bs)
+		}
+	}
+}
