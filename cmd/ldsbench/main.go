@@ -103,24 +103,16 @@ func simBench(bench string, spec func() lds.Spec) benchmark {
 	}
 }
 
-// mixBench measures a 4-core multi-core mix end to end under one execution
-// engine (sim.EngineSerial or sim.EngineParallel). The serial/parallel pair
-// shares a workload, a spec, and — by the engine's determinism guarantee —
-// a result, so the ns/op ratio is a pure measurement of the epoch-barrier
-// parallelism (on a multi-core host; on a single-CPU host the pair instead
-// bounds the goroutine/barrier overhead).
-func mixBench(engine string) benchmark {
+// mixBench measures the shared run of a 4-core mix end to end through the
+// epoch-barrier engine. The row keeps the name mix4_serial so the committed
+// BENCH_PR*.json trajectories line up.
+func mixBench() benchmark {
 	benches := []string{"mcf", "xalancbmk", "omnetpp", "health"}
-	spec := func() sim.Spec {
-		sp := sim.NewSpec("stream+cdp+thr", "stream", "cdp", "throttle")
-		sp.Engine = engine
-		return sp
-	}
 	run := func(in lds.Input) (sim.MultiResult, error) {
-		return sim.RunSharedSpec(benches, in, spec())
+		return sim.RunSharedSpec(benches, in, sim.NewSpec("stream+cdp+thr", "stream", "cdp", "throttle"))
 	}
 	return benchmark{
-		name:  "mix4_" + engine,
+		name:  "mix4_serial",
 		short: true,
 		run: func(b *testing.B, in lds.Input) {
 			b.ReportAllocs()
@@ -185,7 +177,7 @@ func benchmarks() []benchmark {
 		},
 	})
 
-	out = append(out, mixBench(sim.EngineSerial), mixBench(sim.EngineParallel))
+	out = append(out, mixBench())
 
 	// Core-model pair: the same hybrid configuration under the default
 	// interval core and the speculative ooo core. The ns/op ratio prices

@@ -6,7 +6,6 @@
 //	ldssim -bench mst -config ecdp+throttle
 //	ldssim -bench health -config stream -scale 0.5
 //	ldssim -bench xalancbmk,astar -config ecdp+throttle   # dual-core
-//	ldssim -bench mcf,mst,em3d,health -engine parallel     # parallel engine
 //	ldssim -bench mst -core ooo                           # speculative core
 //	ldssim -bench mst -core ooo -core-opts '{"predictor":"tage"}'
 //	ldssim -bench mst -spec spec.json                     # declarative spec
@@ -21,7 +20,8 @@
 // markov, ghb, dbp, ideal — or an arbitrary composition via -spec, which
 // takes a sim.Spec JSON document (inline or a file path) listing registered
 // component kinds with options. -list-configs prints the named
-// configurations and the component catalog.
+// configurations, the spec name each resolves to (the name reports and
+// manifests carry), and the component catalog.
 //
 // -cache <dir> routes the run through the job orchestrator's
 // content-addressed result store: an identical re-run (same benchmark,
@@ -33,12 +33,6 @@
 // interval-series and throttle-event JSONL files (schemas: OBSERVABILITY.md)
 // plus a reproducibility manifest; -out <dir> persists the printed summary
 // and a manifest.
-//
-// -engine selects the multi-core execution engine: serial (the default)
-// steps cores sequentially; parallel runs each epoch's cores on separate
-// goroutines. Reports are byte-identical either way (the engine's
-// determinism guarantee — see DESIGN.md), so the knob is purely about
-// wall-clock time and is ignored for single-benchmark runs.
 //
 // -core selects the core timing model: interval (the default dependence-graph
 // model; byte-identical to pre-seam reports) or ooo (speculative out-of-order
@@ -97,7 +91,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	listConfigs := flag.Bool("list-configs", false, "list named configurations and registered components, then exit")
-	engine := flag.String("engine", "", "multi-core execution engine: serial (default) or parallel; reports are byte-identical")
 	coreKind := flag.String("core", "", "core timing model: interval (default) or ooo; see -list-configs")
 	coreOpts := flag.String("core-opts", "", "core model options as JSON (e.g. '{\"predictor\":\"tage\"}'); requires -core")
 	replay := flag.String("replay", "", "trace capture file to replay as the benchmark (overrides -bench)")
@@ -111,7 +104,7 @@ func main() {
 		return
 	}
 	if *listConfigs {
-		printConfigs()
+		printConfigs(os.Stdout)
 		return
 	}
 	if *scale <= 0 || math.IsNaN(*scale) || math.IsInf(*scale, 0) {
@@ -172,7 +165,6 @@ func main() {
 		}
 	}
 	setup.Trace = *traceDir != ""
-	setup.Engine = *engine
 	if *coreOpts != "" && *coreKind == "" {
 		fatal("ldssim: -core-opts requires -core (run 'ldssim -h' for usage)")
 	}
@@ -333,31 +325,32 @@ func loadSpec(arg string) (sim.Spec, error) {
 	return sp, nil
 }
 
-// printConfigs lists the named configurations and the component catalog the
-// registry knows about, so -spec authors can discover kinds without reading
-// source.
-func printConfigs() {
-	fmt.Println("named configurations (-config):")
+// printConfigs lists the named configurations, with the spec name each
+// resolves to, and the component catalog the registry knows about, so -spec
+// authors can discover kinds without reading source.
+func printConfigs(w io.Writer) {
+	fmt.Fprintln(w, "named configurations (-config):")
 	for _, n := range sim.NamedConfigs() {
+		sp, _ := sim.Named(n, nil) // n comes from NamedConfigs, so Named cannot fail
 		suffix := ""
 		if sim.NamedNeedsHints(n) {
-			suffix = " (profiles hints)"
+			suffix = ", profiles hints"
 		}
-		fmt.Printf("  %s%s\n", n, suffix)
+		fmt.Fprintf(w, "  %-14s (spec %s%s)\n", n, sp.Name, suffix)
 	}
-	fmt.Println("\nprefetcher components (-spec kinds):")
+	fmt.Fprintln(w, "\nprefetcher components (-spec kinds):")
 	for _, kind := range registry.Prefetchers() {
 		in, _ := registry.Lookup(kind)
-		fmt.Printf("  %-10s v%-2d throttleable=%-5v switchable=%-5v consumes_hints=%v\n",
+		fmt.Fprintf(w, "  %-10s v%-2d throttleable=%-5v switchable=%-5v consumes_hints=%v\n",
 			in.Kind, in.Version, in.Throttleable, in.Switchable, in.ConsumesHints)
 	}
-	fmt.Println("\npolicy components (-spec kinds):")
+	fmt.Fprintln(w, "\npolicy components (-spec kinds):")
 	for _, kind := range registry.Policies() {
 		in, _ := registry.Lookup(kind)
-		fmt.Printf("  %-10s v%-2d claims_throttle=%-5v min_switchable=%d\n",
+		fmt.Fprintf(w, "  %-10s v%-2d claims_throttle=%-5v min_switchable=%d\n",
 			in.Kind, in.Version, in.ClaimsThrottle, in.MinSwitchable)
 	}
-	fmt.Println("\ncore models (-core, or \"core\" in -spec):")
+	fmt.Fprintln(w, "\ncore models (-core, or \"core\" in -spec):")
 	for _, kind := range registry.Cores() {
 		cm, _ := registry.LookupCore(kind)
 		def := ""
@@ -368,10 +361,10 @@ func printConfigs() {
 		if opts == "" {
 			opts = "none"
 		}
-		fmt.Printf("  %-10s v%-2d options: %s%s\n", kind, cm.Version, opts, def)
+		fmt.Fprintf(w, "  %-10s v%-2d options: %s%s\n", kind, cm.Version, opts, def)
 	}
-	fmt.Println("\nworkloads (-bench):")
-	printWorkloads(os.Stdout)
+	fmt.Fprintln(w, "\nworkloads (-bench):")
+	printWorkloads(w)
 }
 
 // optionFields lists the JSON option names a registry options struct

@@ -20,7 +20,7 @@
 //
 // Everything is deterministic: prediction, resolve times, and wrong-path
 // addresses are pure functions of the trace and configuration, so two
-// identical runs — and serial vs parallel epoch-barrier engine runs —
+// identical runs — single-core or through the epoch-barrier engine —
 // produce identical reports.
 package ooo
 

@@ -26,8 +26,8 @@ package dram
 // the completion times it computes are deliberately discarded — the timing a
 // core observes is its shadow's. The master therefore holds the single
 // canonical interleaving (and the authoritative Transfers / DemandTransfers /
-// Stalls counters) regardless of how the epoch work was scheduled across
-// goroutines.
+// Stalls counters) regardless of the order in which the cores stepped
+// their epochs.
 //
 // Two properties of the busy-until contention model dictate the design:
 //
@@ -151,7 +151,9 @@ func (c *Controller) ReplayMergedFrom(srcs []*Controller) {
 // applied here: drainEcho folds each one in when the first real request at
 // or after its shifted arrival time is served, so echo and real traffic
 // interleave in arrival order. The echo slices are read, never written; they
-// may be shared across shadows.
+// may be shared across shadows. c holds echoes only until the next
+// CopyStateFrom, so the caller may reuse echoes once c is served no more
+// requests before that rebase.
 // lookahead bounds how far ahead of a real request's arrival the echo is
 // drained. A real shared controller resolves near-simultaneous requests
 // bidirectionally — each of two requests a few cycles apart sees the other's

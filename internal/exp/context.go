@@ -52,10 +52,6 @@ type Context struct {
 	// VerifyCache re-executes every cache hit and fails the job on a
 	// mismatch (determinism check).
 	VerifyCache bool
-	// Engine selects the multi-core execution engine (sim.EngineSerial /
-	// sim.EngineParallel; "" = serial) for every mix this context runs.
-	// Engines are result-equivalent, so this is a wall-clock knob only.
-	Engine string
 	// Core, when non-nil, selects the core timing model (a registered
 	// sim Core component, e.g. "ooo") for every simulation this context
 	// runs that does not pin one itself. Nil runs the registry default
@@ -144,9 +140,6 @@ func (c *Context) run(bench string, sp sim.Spec) sim.Result {
 func (c *Context) RunMix(benches []string, sp sim.Spec) (sim.MultiResult, error) {
 	if c.TraceDir != "" {
 		sp.Trace = true
-	}
-	if c.Engine != "" {
-		sp.Engine = c.Engine
 	}
 	if c.Core != nil && sp.Core == nil {
 		core := *c.Core

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-
-	"ldsprefetch/internal/sim"
 )
 
 // The golden determinism guard: rendered reports for fig1 and one dual-core
@@ -70,24 +68,6 @@ func TestGoldenMulticoreMix(t *testing.T) {
 		t.Skip("golden simulation runs are slow")
 	}
 	r := multiReport(goldenContext(), "golden-mix",
-		"Golden dual-core mix (determinism guard)",
-		[][]string{{"mst", "health"}}, nil)
-	checkGolden(t, "golden_multicore.txt", r.String())
-}
-
-// TestGoldenMulticoreMixParallel renders the same mix under the parallel
-// engine and holds it to the SAME golden file: engine equivalence must reach
-// all the way up to the rendered report, not just sim.MultiResult.
-func TestGoldenMulticoreMixParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden simulation runs are slow")
-	}
-	if *updateGolden {
-		t.Skip("golden is written by the serial variant")
-	}
-	ctx := testCtx()
-	ctx.Engine = sim.EngineParallel
-	r := multiReport(ctx, "golden-mix",
 		"Golden dual-core mix (determinism guard)",
 		[][]string{{"mst", "health"}}, nil)
 	checkGolden(t, "golden_multicore.txt", r.String())

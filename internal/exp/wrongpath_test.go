@@ -72,17 +72,16 @@ func TestOoORunsDeterministic(t *testing.T) {
 	}
 }
 
-// TestOoOEngineEquivalence holds a multi-core ooo-core mix to the same
-// results under the serial and parallel epoch-barrier engines: wrong-path
-// traffic is core-local deterministic state, so the engines' shadow-replay
-// equivalence must extend to it unchanged.
+// TestOoOEngineEquivalence holds a multi-core ooo-core mix to identical
+// results across two runs through the epoch-barrier engine: wrong-path
+// traffic flows through the shadow controllers and barrier replay like
+// demand traffic, and must stay as deterministic as it.
 func TestOoOEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation runs are slow")
 	}
-	run := func(engine string) sim.MultiResult {
+	run := func() sim.MultiResult {
 		ctx := testCtx()
-		ctx.Engine = engine
 		sp := sim.NewSpec("wp-mix", "stream", "cdp", "throttle")
 		sp.Core = oooComponent("bimodal")
 		r, err := ctx.RunMix([]string{"mst", "health"}, sp)
@@ -91,10 +90,9 @@ func TestOoOEngineEquivalence(t *testing.T) {
 		}
 		return r
 	}
-	serial := run(sim.EngineSerial)
-	parallel := run(sim.EngineParallel)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("serial and parallel engines diverged under core=ooo:\n serial=%+v\n parallel=%+v", serial, parallel)
+	a, b := run(), run()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two identical ooo mixes diverged:\n a=%+v\n b=%+v", a, b)
 	}
 }
 

@@ -64,9 +64,10 @@ type Key struct {
 // keyPayload is the canonical, versioned form of a job input. Field order
 // is fixed by the struct; Spec is the deterministic encoding produced by
 // sim.Spec.Canonical (components with factory versions, sorted hint
-// triples, pointer configs expanded to value-or-null). Spec.Trace is
-// deliberately absent from that encoding: tracing is observation-only and
-// traced runs bypass the cache anyway.
+// triples, pointer configs expanded to value-or-null). Spec.Trace and
+// Spec.Engine are deliberately absent from that encoding: tracing is
+// observation-only and traced runs bypass the cache anyway, and every
+// accepted value of the deprecated Engine field runs the same engine.
 type keyPayload struct {
 	Schema  int             `json:"schema"`
 	Kind    string          `json:"kind"` // "single", "shared", or "alone"

@@ -383,9 +383,10 @@ var nondetflowPackages = append([]string{
 	"internal/jobs",
 }, determinismPackages...)
 
-// lockcheckPackages are the packages with mutex-guarded shared state: the
-// scheduler, the distributed control plane, the parallel engine, and the
-// workload registry.
+// lockcheckPackages are the packages with mutex-guarded shared state — the
+// scheduler, the distributed control plane, and the workload registry —
+// plus the epoch-barrier engine, kept in scope so any shared state it gains
+// must carry the annotations.
 var lockcheckPackages = []string{
 	"internal/jobs",
 	"internal/server",

@@ -1,53 +1,38 @@
 // Package engine executes the cores of a multi-core mix under an
-// epoch-barrier discipline that makes the simulation's outcome independent of
-// how the work is scheduled across goroutines.
+// epoch-barrier discipline that fixes how their requests to one shared DRAM
+// controller interleave.
 //
 // # The determinism problem
 //
 // The DRAM controller resolves contention through mutable busy-until state:
-// the outcome of a request depends on every request applied before it. Run
-// two cores on two goroutines against one controller and the interleaving of
-// their requests — and therefore every simulated number downstream — is
-// decided by the Go scheduler. Bit-for-bit reproducibility of reports is a
-// repo invariant (cache keys, golden tests, resumable sweeps), so that
-// nondeterminism is not acceptable.
+// the outcome of a request depends on every request applied before it. How
+// the cores' requests interleave therefore decides every simulated number
+// downstream. Bit-for-bit reproducibility of reports is a repo invariant
+// (cache keys, golden tests, resumable sweeps), so that interleaving must be
+// a pure function of the cores' own deterministic request streams.
 //
 // # The epoch-barrier discipline
 //
-// Time is sliced into epochs of a fixed cycle width. Within an epoch each
+// Time is sliced into epochs of EpochCycles cycles. Within an epoch each
 // core runs against a private SHADOW controller rebased on the shared MASTER
 // controller's state at the epoch boundary (dram.Controller.CopyStateFrom);
 // the shadow logs every request the core issues. At the epoch barrier the
 // logs are replayed onto the master in a fixed arbitration order — ascending
 // arrival time, ties broken by core index, program order within a core
 // (dram.Controller.ReplayMergedFrom) — so the master absorbs exactly one
-// canonical request interleaving no matter which goroutine finished first.
+// canonical request interleaving.
 //
 // Rebasing alone would show a core only traffic strictly in its past, and
 // past traffic barely contends in a busy-until model (horizons decay below
 // the core's own request times within tens of cycles). So the rebase also
 // arms the shadow with an ECHO of every other core's just-replayed epoch
 // log, shifted forward by one epoch (dram.Controller.SetEcho): the shadow
-// folds those requests in lazily, interleaved with the core's own in
-// arrival order, so the core collides with a deterministic prediction of
-// the cross-traffic contemporaneous with it — the previous epoch's stream
-// replayed at the same addresses, priorities, and relative times. Echoed
-// requests are neither logged nor counted; only real requests reach the
-// master.
-//
-// Why a fixed order at the barrier is sufficient: during an epoch a core
-// reads and writes only goroutine-confined state (its CPU, caches, memory
-// image, and shadow controller — rebasing is the only read of the master,
-// and the master and the saved epoch logs are quiescent while core
-// goroutines run). The master mutates only at the barrier, on one goroutine,
-// in an order that is a pure function of core index and each core's own
-// deterministic request stream. By induction over epochs, every epoch starts
-// from a deterministic master state and deterministic saved logs, and
-// produces deterministic per-core streams, so the whole run is
-// deterministic. The serial engine executes the identical operation sequence
-// inline — same rebase, same echo, same step, same replay — which is why
-// `serial` and `parallel` produce byte-identical reports rather than merely
-// similar ones.
+// folds those requests in lazily, up to EchoLookahead cycles ahead of the
+// core's own, interleaved in arrival order, so the core collides with a
+// deterministic prediction of the cross-traffic contemporaneous with it —
+// the previous epoch's stream replayed at the same addresses, priorities,
+// and relative times. Echoed requests are neither logged nor counted; only
+// real requests reach the master.
 //
 // What the discipline changes versus a single shared controller: a core
 // contends with the other cores' PREVIOUS epoch (their echo) rather than
@@ -55,15 +40,12 @@
 // computes on the master are discarded in favor of the shadow's. The
 // prediction error is one epoch of traffic drift; the master still absorbs
 // every real request in canonical order and shapes every later epoch.
-// EpochCycles trades fidelity against synchronization frequency; it is
-// simulator semantics, so changing it changes results (golden tests pin it).
+// EpochCycles trades fidelity against synchronization frequency and
+// EchoLookahead sets the collision window; both are simulator semantics, so
+// changing either changes results (golden tests pin them).
 package engine
 
-import (
-	"sync"
-
-	"ldsprefetch/internal/dram"
-)
+import "ldsprefetch/internal/dram"
 
 // Core is one steppable core of a mix. cpu.Model implementations satisfy it; tests may
 // substitute fakes.
@@ -90,9 +72,6 @@ type Config struct {
 	// (dram.Controller.SetEcho). Like EpochCycles it is simulator
 	// semantics, not a performance knob.
 	EchoLookahead int64
-	// Parallel runs each epoch's core steps on separate goroutines. The
-	// result is byte-identical to the serial schedule by construction.
-	Parallel bool
 }
 
 // Run drives the cores to completion. cores[i] issues its memory requests
@@ -110,6 +89,11 @@ func Run(cores []Core, shadows []*dram.Controller, master *dram.Controller, cfg 
 	// prevHorizon anchors the echo's one-epoch time shift.
 	prevLogs := make([][]dram.Request, len(cores))
 	var prevHorizon int64
+	// others is the echo handed to the stepping core's shadow. A shadow is
+	// served only while its own core steps, so one buffer serves every core
+	// in turn; the next rebase drops the shadow's reference to it.
+	others := make([][]dram.Request, 0, len(cores))
+	replay := make([]*dram.Controller, 0, len(cores))
 	for {
 		// Horizon: the slowest live core's clock plus one epoch. Every live
 		// core behind it steps; the slowest always progresses, so the run
@@ -128,45 +112,25 @@ func Run(cores []Core, shadows []*dram.Controller, master *dram.Controller, cfg 
 		}
 		horizon := minNow + cfg.EpochCycles
 
-		for i := range cores {
-			stepped[i] = !cores[i].Done() && cores[i].Now() < horizon
-		}
 		// Rebase on the master, arm the shadow with the other cores'
-		// previous-epoch echo, then step — per-core work reading only
-		// quiescent shared state (master, prevLogs), so the parallel
-		// schedule cannot influence it.
+		// previous-epoch echo, then step. Neither the master nor prevLogs
+		// changes until the barrier, so every core of the epoch sees the
+		// same shared state.
 		shift := horizon - prevHorizon
-		epoch := func(i int) {
+		for i, c := range cores {
+			stepped[i] = !c.Done() && c.Now() < horizon
+			if !stepped[i] {
+				continue
+			}
 			shadows[i].CopyStateFrom(master)
-			others := make([][]dram.Request, 0, len(cores)-1)
+			others = others[:0]
 			for j := range cores {
 				if j != i {
 					others = append(others, prevLogs[j])
 				}
 			}
 			shadows[i].SetEcho(others, shift, cfg.EchoLookahead)
-			cores[i].StepUntil(horizon)
-		}
-		if cfg.Parallel {
-			var wg sync.WaitGroup
-			for i := range cores {
-				if !stepped[i] {
-					continue
-				}
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					epoch(i)
-				}(i)
-			}
-			wg.Wait()
-		} else {
-			for i := range cores {
-				if !stepped[i] {
-					continue
-				}
-				epoch(i)
-			}
+			c.StepUntil(horizon)
 		}
 
 		// Barrier: apply the epoch's logs to the master in the canonical
@@ -174,7 +138,7 @@ func Run(cores []Core, shadows []*dram.Controller, master *dram.Controller, cfg 
 		// Each log is saved first for the next rebase's echo; a core that
 		// did not step contributed no contemporaneous traffic (it is
 		// stalled inside one long-latency op), so its echo is empty.
-		replay := make([]*dram.Controller, 0, len(cores))
+		replay = replay[:0]
 		for i := range cores {
 			if !stepped[i] {
 				prevLogs[i] = prevLogs[i][:0]

@@ -55,7 +55,7 @@ func script(seed int64, n int, end int64) []dram.Request {
 
 // runMix drives four scripted cores with uneven finishing times through the
 // engine and returns the master.
-func runMix(parallel bool) *dram.Controller {
+func runMix() *dram.Controller {
 	cfg := dram.DefaultConfig(4)
 	master := dram.NewController(cfg)
 	var cores []Core
@@ -67,33 +67,14 @@ func runMix(parallel bool) *dram.Controller {
 		cores = append(cores, &fakeCore{sh: sh, evs: script(int64(i+1), 400, end), end: end})
 		shadows = append(shadows, sh)
 	}
-	Run(cores, shadows, master, Config{EpochCycles: 512, Parallel: parallel})
+	Run(cores, shadows, master, Config{EpochCycles: 512})
 	return master
-}
-
-// TestParallelMatchesSerial pins the engine's core guarantee on synthetic
-// cores: the master controller ends in the same state under both schedules.
-// (The full-stack byte-identical report test lives in internal/sim.)
-func TestParallelMatchesSerial(t *testing.T) {
-	ser := runMix(false)
-	par := runMix(true)
-	if ser.Transfers != par.Transfers || ser.DemandTransfers != par.DemandTransfers || ser.Stalls != par.Stalls {
-		t.Fatalf("counters diverge: serial (%d,%d,%d), parallel (%d,%d,%d)",
-			ser.Transfers, ser.DemandTransfers, ser.Stalls,
-			par.Transfers, par.DemandTransfers, par.Stalls)
-	}
-	// The busy-until horizons and request buffer must agree too: a probe
-	// request resolves identically against both masters.
-	probe := func(c *dram.Controller) int64 { return c.Access(0x7fff_0040, 100000, true) }
-	if a, b := probe(ser), probe(par); a != b {
-		t.Fatalf("probe resolves at %d on serial master, %d on parallel", a, b)
-	}
 }
 
 // TestAllRequestsReachMaster verifies no logged request is lost at barriers:
 // the master's transfer count equals the sum of scripted requests.
 func TestAllRequestsReachMaster(t *testing.T) {
-	master := runMix(true)
+	master := runMix()
 	var want int64
 	for i := 0; i < 4; i++ {
 		end := int64(20000 * (i + 1))
@@ -112,7 +93,7 @@ func TestTermination(t *testing.T) {
 	sh := dram.NewController(cfg)
 	sh.StartLog()
 	c := &fakeCore{sh: sh, evs: script(9, 50, 5000), end: 5000}
-	Run([]Core{c}, []*dram.Controller{sh}, master, Config{EpochCycles: 0, Parallel: false})
+	Run([]Core{c}, []*dram.Controller{sh}, master, Config{EpochCycles: 0})
 	if !c.Done() {
 		t.Fatal("engine returned before the core finished")
 	}

@@ -6,7 +6,6 @@ import (
 
 	"ldsprefetch/internal/dram"
 	"ldsprefetch/internal/workload"
-	_ "ldsprefetch/internal/workload/serverload" // register server families
 )
 
 // mrBytes serializes a MultiResult for byte-exact comparison: every field,
@@ -20,55 +19,27 @@ func mrBytes(t *testing.T, r MultiResult) []byte {
 	return b
 }
 
-func runEngine(t *testing.T, benches []string, sp Spec, eng string) []byte {
-	t.Helper()
-	sp.Engine = eng
-	r, err := RunSharedSpec(benches, testParams(), sp)
-	if err != nil {
-		t.Fatalf("engine %q: %v", eng, err)
-	}
-	return mrBytes(t, r)
-}
-
-// TestEngineParallelMatchesSerial pins the tentpole guarantee: for paper
-// mixes, server mixes, and throttled configurations alike, the parallel
-// engine's MultiResult is byte-identical to the serial engine's.
-func TestEngineParallelMatchesSerial(t *testing.T) {
-	cases := []struct {
-		name    string
-		benches []string
-		sp      Spec
-	}{
-		{"2core-stream", []string{"mst", "health"}, NewSpec("stream", "stream")},
-		{"2core-cdp-throttle", []string{"mst", "health"}, NewSpec("stream+cdp+thr", "stream", "cdp", "throttle")},
-		{"4core-stream", []string{"mcf", "xalancbmk", "omnetpp", "health"}, NewSpec("stream", "stream")},
-		{"server-mix", []string{"kvstore", "gcc"}, NewSpec("stream+cdp", "stream", "cdp")},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			ser := runEngine(t, c.benches, c.sp, EngineSerial)
-			par := runEngine(t, c.benches, c.sp, EngineParallel)
-			if string(ser) != string(par) {
-				t.Fatalf("serial and parallel reports differ:\nserial:   %s\nparallel: %s", ser, par)
+// TestDeprecatedEngineIsNoOp pins Spec.Engine as a deprecated wire field:
+// every value Validate accepts runs the same engine and yields a
+// byte-identical MultiResult.
+func TestDeprecatedEngineIsNoOp(t *testing.T) {
+	benches := []string{"mst", "health"}
+	var want []byte
+	for _, eng := range []string{"", EngineSerial, EngineParallel} {
+		t.Run("engine="+eng, func(t *testing.T) {
+			sp := NewSpec("stream+cdp+thr", "stream", "cdp", "throttle")
+			sp.Engine = eng
+			r, err := RunSharedSpec(benches, testParams(), sp)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// "" selects serial.
-			if def := runEngine(t, c.benches, c.sp, ""); string(def) != string(ser) {
-				t.Fatal("default engine is not the serial engine")
+			got := mrBytes(t, r)
+			if want == nil {
+				want = got
+			} else if string(got) != string(want) {
+				t.Fatalf("engine %q changed the report:\ngot:  %s\nwant: %s", eng, got, want)
 			}
 		})
-	}
-}
-
-// TestEngineParallelRepeatable pins run-to-run determinism of the parallel
-// engine itself: two parallel runs of the same mix are byte-identical (the
-// goroutine schedule must not leak into results).
-func TestEngineParallelRepeatable(t *testing.T) {
-	sp := NewSpec("stream+cdp", "stream", "cdp")
-	benches := []string{"health", "mst"}
-	a := runEngine(t, benches, sp, EngineParallel)
-	b := runEngine(t, benches, sp, EngineParallel)
-	if string(a) != string(b) {
-		t.Fatalf("parallel runs differ:\n%s\n%s", a, b)
 	}
 }
 
@@ -84,9 +55,8 @@ func TestValidateRejectsUnknownEngine(t *testing.T) {
 	}
 }
 
-// TestEngineExcludedFromCanonical pins that serial and parallel runs share a
-// cache identity: both engines produce identical results, so the canonical
-// encoding must not split on the knob.
+// TestEngineExcludedFromCanonical pins that the deprecated Engine field
+// never splits a cache identity: every accepted value runs the same engine.
 func TestEngineExcludedFromCanonical(t *testing.T) {
 	ser := NewSpec("stream", "stream")
 	ser.Engine = EngineSerial

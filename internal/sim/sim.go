@@ -336,8 +336,7 @@ func controllerFor(sp Spec, cores int) *dram.Controller {
 
 // RunSingleSpec builds and runs benchmark bench on a single-core system.
 // The core talks to the controller directly — the epoch-barrier engine is a
-// multi-core construct and single-core runs take the zero-overhead path
-// regardless of Spec.Engine.
+// multi-core construct and single-core runs take the zero-overhead path.
 func RunSingleSpec(bench string, p workload.Params, sp Spec) (Result, error) {
 	ctrl := controllerFor(sp, 1)
 	sys, err := assemble(bench, p, sp, ctrl, 1)
@@ -388,8 +387,8 @@ const (
 // RunSharedSpec runs the given benchmarks concurrently, one per core, on a
 // shared DRAM controller (private L1/L2 per core, as in the paper's
 // multi-core configuration), under the epoch-barrier execution engine
-// (internal/sim/engine; Spec.Engine selects serial or parallel stepping,
-// with byte-identical reports). The speedup-normalization fields (AloneIPC,
+// (internal/sim/engine). Spec.Engine is a deprecated no-op: every accepted
+// value runs the same engine. The speedup-normalization fields (AloneIPC,
 // WeightedSpeedup, HmeanSpeedup) are left zero; run each benchmark alone
 // with RunAloneSpec and call Normalize to fill them. Job schedulers use this
 // decomposition to cache and share alone runs across mixes.
@@ -403,8 +402,8 @@ func RunSharedSpec(benches []string, p workload.Params, sp Spec) (MultiResult, e
 		// Each core runs against a private shadow controller that logs its
 		// requests; the engine rebases shadows on the master at every epoch
 		// boundary and replays the logs onto it at the barrier in
-		// (core-index, program-order) arbitration order. The master holds
-		// the one canonical interleaving — identical under both engines.
+		// (arrival-time, core-index, program-order) arbitration order. The
+		// master holds the one canonical interleaving.
 		shadow := dram.NewController(master.Config())
 		shadow.StartLog()
 		sys, err := assemble(b, p, sp, shadow, n)
@@ -418,7 +417,6 @@ func RunSharedSpec(benches []string, p workload.Params, sp Spec) (MultiResult, e
 	engine.Run(cores, shadows, master, engine.Config{
 		EpochCycles:   engineEpochCycles,
 		EchoLookahead: engineEchoLookahead,
-		Parallel:      sp.Engine == EngineParallel,
 	})
 
 	res := MultiResult{Benchmarks: benches, Setup: sp.Name, BusTransfers: master.Transfers}

@@ -78,14 +78,12 @@ type Spec struct {
 	// from serialization and from the canonical encoding.
 	Trace bool `json:"-"`
 
-	// Engine selects the multi-core execution engine: EngineSerial (the
-	// default, also selected by "") steps cores sequentially, EngineParallel
-	// runs each epoch's cores on separate goroutines. Both drive the same
-	// epoch-barrier machinery (internal/sim/engine) and produce byte-identical
-	// reports, so Engine — like Trace — is excluded from the canonical
-	// encoding: it changes wall-clock time, never results. Single-core runs
-	// ignore it. It does round-trip through JSON so distributed workers
-	// honor the coordinator's choice.
+	// Engine is deprecated and ignored: every multi-core mix runs the one
+	// serial epoch-barrier engine (internal/sim/engine). The field stays so
+	// spec files, HTTP sweep bodies and coordinator leases that carry
+	// "engine" still decode; Validate accepts "", EngineSerial and
+	// EngineParallel and rejects anything else. Like Trace it is excluded
+	// from the canonical encoding, so it never splits cache keys.
 	Engine string `json:"engine,omitempty"`
 
 	// IntervalLen overrides the feedback interval (L2 evictions).
@@ -101,13 +99,10 @@ type Spec struct {
 	InitialLevel *prefetch.AggLevel `json:"initial_level,omitempty"`
 }
 
-// Engine values for Spec.Engine.
+// Accepted values of the deprecated Spec.Engine field. Both run the same
+// serial engine.
 const (
-	// EngineSerial steps the cores of a mix sequentially through the
-	// epoch-barrier engine. The default.
-	EngineSerial = "serial"
-	// EngineParallel runs each epoch's cores on separate goroutines;
-	// reports are byte-identical to EngineSerial.
+	EngineSerial   = "serial"
 	EngineParallel = "parallel"
 )
 
@@ -269,9 +264,8 @@ type canonComponent struct {
 // canonSpec is the canonical, versioned form of a Spec. Field order is
 // fixed by the struct; every pointer field is expanded to value-or-null;
 // the hint table serializes as sorted (pc, pos, neg) triples. Trace and
-// Engine are deliberately absent: tracing is observation-only, and the
-// serial and parallel engines produce byte-identical results, so neither
-// may split cache keys.
+// Engine are deliberately absent: tracing is observation-only and Engine is
+// a deprecated no-op, so neither may split cache keys.
 type canonSpec struct {
 	Name         string           `json:"name"`
 	Components   []canonComponent `json:"components"`
